@@ -3,7 +3,7 @@ GO ?= go
 # Per-target budget of the fuzz smoke (make fuzz-smoke / CI).
 FUZZTIME ?= 20s
 
-.PHONY: build test test-race vet chaos-smoke chaos-long fuzz-smoke bench bench-smoke bench-hotpath bench-compare ops-demo audit-demo audit-smoke
+.PHONY: build test test-race vet chaos-smoke chaos-long fuzz-smoke bench bench-smoke bench-hotpath bench-compare ops-demo audit-demo audit-smoke perfbench-check
 
 build:
 	$(GO) build ./...
@@ -83,3 +83,9 @@ audit-demo:
 # with the auditor attached to every run, under the race detector.
 audit-smoke:
 	$(GO) test -race -short -count=1 -run 'TestChaosAudit' ./internal/chaos/
+
+# perfbench is its own module (replace hybster => ../), so the root
+# module's go test ./... never builds it. Check it still compiles,
+# vets and passes its tests against the current internal/ packages.
+perfbench-check:
+	cd perfbench && $(GO) build ./... && $(GO) vet ./... && $(GO) test ./...

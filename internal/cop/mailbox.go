@@ -1,16 +1,3 @@
-// Package cop provides the building blocks of the consensus-oriented
-// parallelization scheme (Behl et al., Middleware '15) that HybsterX
-// and the PBFT baseline are built on: replicas are composed of equal
-// processing units — pillars — that share no state and communicate via
-// asynchronous in-memory message passing only (§5.3).
-//
-// The Mailbox is that in-memory message channel: an unbounded
-// multi-producer single-consumer queue. Unboundedness matters — the
-// internal protocols between pillars, coordinator, and execution stage
-// form cycles (e.g. pillar → executor → coordinator → pillar for
-// checkpoints), and bounded channels could deadlock under bursts.
-// Memory remains bounded because every producer is itself throttled by
-// the ordering window.
 package cop
 
 import "sync"
@@ -147,6 +134,22 @@ func (m *Mailbox[T]) GetBatch(dst []T) (out []T, ok bool) {
 		dst = append(dst, m.pop())
 	}
 	return dst, true
+}
+
+// Drain runs handle on every value in FIFO order until the mailbox
+// closes and drains. It fetches bursts with GetBatch, so an event loop
+// pays one lock round-trip per burst instead of one per event.
+func (m *Mailbox[T]) Drain(handle func(T)) {
+	batch := make([]T, 0, 32)
+	for {
+		events, ok := m.GetBatch(batch[:0])
+		if !ok {
+			return
+		}
+		for _, ev := range events {
+			handle(ev)
+		}
+	}
 }
 
 // TryGet dequeues without blocking; ok is false if the mailbox is

@@ -1,44 +1,10 @@
 package core
 
 import (
-	"errors"
 	"fmt"
-	"time"
 
-	"hybster/internal/message"
 	"hybster/internal/telemetry"
 )
-
-// engineMetrics holds the engine-level metric handles, resolved once
-// in New. Everything is nil-safe (zero value = telemetry off), so
-// protocol code records unconditionally.
-type engineMetrics struct {
-	tel *telemetry.Telemetry
-
-	execBatches  *telemetry.Counter
-	execRequests *telemetry.Counter
-	viewChanges  *telemetry.Counter
-	ckptsOwn     *telemetry.Counter
-	ckptsStable  *telemetry.Counter
-	stateXfers   *telemetry.Counter
-	noops        *telemetry.Counter
-}
-
-func newEngineMetrics(tel *telemetry.Telemetry) engineMetrics {
-	if tel == nil {
-		return engineMetrics{}
-	}
-	return engineMetrics{
-		tel:          tel,
-		execBatches:  tel.Counter("hybster_core_exec_batches_total", "batches delivered to the application"),
-		execRequests: tel.Counter("hybster_core_exec_requests_total", "client requests executed"),
-		viewChanges:  tel.Counter("hybster_core_view_changes_total", "view changes this replica initiated or joined"),
-		ckptsOwn:     tel.Counter("hybster_core_checkpoints_total", "own checkpoint announcements"),
-		ckptsStable:  tel.Counter("hybster_core_checkpoints_stable_total", "checkpoints that reached quorum stability"),
-		stateXfers:   tel.Counter("hybster_core_state_transfers_total", "state snapshots installed via transfer"),
-		noops:        tel.Counter("hybster_core_noop_proposals_total", "no-op proposals filling execution gaps"),
-	}
-}
 
 // pillarMetrics holds one pillar's metric handles (pillar-labeled).
 type pillarMetrics struct {
@@ -59,103 +25,4 @@ func newPillarMetrics(tel *telemetry.Telemetry, idx uint32) pillarMetrics {
 		committed:   tel.Counter("hybster_core_committed_total", "instances committed and handed to execution", pl),
 		retransmits: tel.Counter("hybster_core_retransmits_total", "stalled instances re-multicast by the tick handler", pl),
 	}
-}
-
-// registerGauges installs the sampled gauges over live engine state.
-// Registration replaces any callbacks left by a predecessor engine on
-// the same registry (cluster restart), so the scrape never reads a
-// dead engine's state.
-func (e *Engine) registerGauges(tel *telemetry.Telemetry) {
-	if tel == nil {
-		return
-	}
-	tel.GaugeFunc("hybster_core_view", "current stable view",
-		func() float64 { return float64(e.curView.Load()) })
-	tel.GaugeFunc("hybster_core_last_executed", "highest executed order number",
-		func() float64 { return float64(e.exec.last.Load()) })
-	tel.GaugeFunc("hybster_core_stable_checkpoint", "last stable checkpoint order",
-		func() float64 { return float64(e.stableOrd.Load()) })
-	for _, p := range e.pillars {
-		p := p
-		tel.GaugeFunc("hybster_core_pillar_mailbox_depth", "queued pillar events",
-			func() float64 { return float64(p.inbox.Len()) },
-			telemetry.L("pillar", fmt.Sprint(p.idx)))
-	}
-	tel.GaugeFunc("hybster_core_exec_mailbox_depth", "queued execution events",
-		func() float64 { return float64(e.exec.inbox.Len()) })
-	tel.GaugeFunc("hybster_core_coord_mailbox_depth", "queued coordinator events",
-		func() float64 { return float64(e.coord.inbox.Len()) })
-	for u := range e.seq.inFlight {
-		u := u
-		tel.GaugeFunc("hybster_core_seq_inflight", "proposals awaiting commit credit",
-			func() float64 { return float64(e.seq.inFlight[u].Load()) },
-			telemetry.L("pillar", fmt.Sprint(u)))
-	}
-	tel.GaugeFunc("hybster_core_seq_outreqs", "requests dispatched but not yet credited back",
-		func() float64 { return float64(e.seq.outReqs.Load()) })
-	tel.GaugeFunc("hybster_core_seq_queue_depth", "admitted requests awaiting a batch cut",
-		func() float64 {
-			e.seq.mu.Lock()
-			n := len(e.seq.queue)
-			e.seq.mu.Unlock()
-			return float64(n)
-		})
-	registerMarshalGauges(tel)
-}
-
-// registerMarshalGauges exposes the codec's marshal-pool statistics.
-// The counters are process-global (the encoder pool is shared by every
-// engine in the process), so in-process multi-replica clusters see the
-// same totals on each replica's registry — that is fine for the pool
-// hit-rate the gauges exist to answer for.
-func registerMarshalGauges(tel *telemetry.Telemetry) {
-	tel.GaugeFunc("hybster_marshal_total", "messages marshaled (process-wide)",
-		func() float64 { total, _ := message.MarshalStats(); return float64(total) })
-	tel.GaugeFunc("hybster_marshal_pool_hits", "marshals served by a pooled encoder (process-wide)",
-		func() float64 { _, hits := message.MarshalStats(); return float64(hits) })
-}
-
-// trace records one protocol event on the engine's tracer (nil-safe).
-func (e *Engine) trace(kind telemetry.EventKind, view, slot uint64, pillar uint32, note string) {
-	e.met.tel.Trace(kind, view, slot, pillar, note)
-}
-
-// traceD records one protocol event carrying the digest the event is
-// about — the correlation key the cluster auditor compares across
-// replicas (nil-safe).
-func (e *Engine) traceD(kind telemetry.EventKind, view, slot uint64, pillar uint32, digest []byte, note string) {
-	e.met.tel.TraceDigest(kind, view, slot, pillar, digest, note)
-}
-
-// Telemetry returns the engine's telemetry bundle (nil when disabled);
-// the ops server and cluster introspection read through it.
-func (e *Engine) Telemetry() *telemetry.Telemetry { return e.met.tel }
-
-// Healthz reports process liveness: nil while the engine runs, an
-// error once it stopped. Backs the ops server's /healthz.
-func (e *Engine) Healthz() error {
-	select {
-	case <-e.stopped:
-		return errors.New("core: engine stopped")
-	default:
-		return nil
-	}
-}
-
-// Readyz reports serving readiness: the engine is live AND not stuck.
-// "Stuck" means work has been pending without execution progress for
-// more than twice the view-change timeout — long enough that the
-// watchdog should have rotated the view, so something is genuinely
-// wedged. Backs the ops server's /readyz.
-func (e *Engine) Readyz() error {
-	if err := e.Healthz(); err != nil {
-		return err
-	}
-	if ps := e.pendingSince.Load(); ps != 0 {
-		stalled := e.now().Sub(time.Unix(0, ps))
-		if stalled > 2*e.cfg.ViewChangeTimeout {
-			return fmt.Errorf("core: no execution progress for %v", stalled.Round(time.Millisecond))
-		}
-	}
-	return nil
 }

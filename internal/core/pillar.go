@@ -9,8 +9,9 @@ import (
 	"hybster/internal/transport"
 )
 
-// Events delivered to pillar mailboxes (besides inbound protocol
-// messages wrapped in inMsg).
+// Events delivered to pillar mailboxes, besides inbound protocol
+// messages (cop.InMsg) and the runtime's cop.CkptDue, cop.Advance and
+// cop.Tick.
 type (
 	// evPropose instructs the pillar to propose a batch for an order
 	// number this replica owns.
@@ -19,15 +20,6 @@ type (
 		order timeline.Order
 		batch []*message.Request
 	}
-	// evCkptDue tells the owning pillar to run the checkpoint protocol
-	// instance for the given digest (execution stage reached the
-	// interval boundary).
-	evCkptDue struct {
-		order  timeline.Order
-		digest [32]byte
-	}
-	// evAdvance announces a stable checkpoint: slide the window.
-	evAdvance struct{ order timeline.Order }
 	// evCollectVC asks the pillar for its part of a VIEW-CHANGE
 	// message and suspends ordering (§5.3.3, local view-change
 	// preparation).
@@ -58,8 +50,6 @@ type (
 		prepares []*message.Prepare
 		leader   bool // true when this replica produced the prepares
 	}
-	// evTick drives retransmission.
-	evTick struct{}
 )
 
 // reProposal is one instance the new leader transfers into its view.
@@ -112,7 +102,7 @@ func newPillar(e *Engine, idx uint32, tx Certifier) *pillar {
 		idx:          idx,
 		tx:           tx,
 		inbox:        cop.NewMailbox[any](),
-		met:          newPillarMetrics(e.met.tel, idx),
+		met:          newPillarMetrics(e.sh.Met.Tel, idx),
 		win:          newOrderWindow(e.cfg.WindowSize, e.cfg.Quorum()),
 		ckpts:        checkpoint.NewTracker[*message.Checkpoint](e.cfg.Quorum()),
 		pendingProps: make(map[timeline.Order]evPropose),
@@ -135,50 +125,37 @@ func (p *pillar) firstClassOrder(after timeline.Order) timeline.Order {
 }
 
 // run is the pillar event loop.
-func (p *pillar) run() {
-	// Drain the mailbox in batches: under load one lock round-trip
-	// fetches a burst of events instead of paying the lock per event.
-	batch := make([]any, 0, 32)
-	for {
-		events, ok := p.inbox.GetBatch(batch[:0])
-		if !ok {
-			return
-		}
-		for _, ev := range events {
-			p.handleEvent(ev)
-		}
-	}
-}
+func (p *pillar) run() { p.inbox.Drain(p.handleEvent) }
 
 func (p *pillar) handleEvent(ev any) {
 	switch v := ev.(type) {
-	case inMsg:
+	case cop.InMsg:
 		p.handleMessage(v)
 	case evPropose:
 		p.handlePropose(v)
-	case evCkptDue:
+	case cop.CkptDue:
 		p.handleCkptDue(v)
-	case evAdvance:
-		p.advance(v.order)
+	case cop.Advance:
+		p.advance(v.Order)
 	case evCollectVC:
 		p.handleCollectVC(v)
 	case evRepropose:
 		p.handleRepropose(v)
 	case evInstallView:
 		p.handleInstallView(v)
-	case evTick:
+	case cop.Tick:
 		p.handleTick()
 	}
 }
 
-func (p *pillar) handleMessage(in inMsg) {
-	switch v := in.msg.(type) {
+func (p *pillar) handleMessage(in cop.InMsg) {
+	switch v := in.Msg.(type) {
 	case *message.Prepare:
-		p.handlePrepare(in.from, v, in.verified)
+		p.handlePrepare(in.From, v, in.Verified)
 	case *message.Commit:
-		p.handleCommit(in.from, v)
+		p.handleCommit(in.From, v)
 	case *message.Checkpoint:
-		p.handleCheckpoint(in.from, v)
+		p.handleCheckpoint(in.From, v)
 	}
 }
 
@@ -190,7 +167,7 @@ func (p *pillar) handlePrepare(from uint32, m *message.Prepare, authVerified boo
 		return
 	}
 	if m.Order > p.win.High() {
-		p.e.coord.inbox.Put(evBehind{order: m.Order})
+		p.e.coord.inbox.Put(cop.Behind{})
 		return
 	}
 	if !p.win.InWindow(m.Order) || m.Order < p.cursor {
@@ -202,7 +179,7 @@ func (p *pillar) handlePrepare(from uint32, m *message.Prepare, authVerified boo
 	if err := p.e.verifyPrepare(p.tx, m, from, authVerified); err != nil {
 		return
 	}
-	p.e.noteWork()
+	p.e.sh.NoteWork()
 	p.pendingPreps[m.Order] = m
 	p.processReady()
 }
@@ -213,7 +190,7 @@ func (p *pillar) handleCommit(from uint32, m *message.Commit) {
 		return
 	}
 	if m.Order > p.win.High() {
-		p.e.coord.inbox.Put(evBehind{order: m.Order})
+		p.e.coord.inbox.Put(cop.Behind{})
 		return
 	}
 	if !p.win.InWindow(m.Order) {
@@ -236,11 +213,11 @@ func (p *pillar) handlePropose(ev evPropose) {
 		// Stale proposal from before a view change; requests are
 		// re-proposed by the sequencer after the new view installs,
 		// so return the flow-control credit and drop.
-		p.e.seq.credit(p.idx, len(ev.batch))
+		p.e.seq.Credit(p.idx, len(ev.batch))
 		return
 	}
 	if ev.order < p.cursor || !p.win.InWindow(ev.order) {
-		p.e.seq.credit(p.idx, len(ev.batch))
+		p.e.seq.Credit(p.idx, len(ev.batch))
 		return
 	}
 	p.pendingProps[ev.order] = ev
@@ -276,7 +253,7 @@ func (p *pillar) sendPrepare(ev evPropose) {
 	prep := &message.Prepare{View: ev.view, Order: ev.order, Requests: ev.batch}
 	cert, err := p.tx.CreateIndependent(counterO, uint64(timeline.Pack(ev.view, ev.order)), prep.Digest())
 	if err != nil {
-		p.e.seq.credit(p.idx, len(ev.batch))
+		p.e.seq.Credit(p.idx, len(ev.batch))
 		return // counter already beyond this instance (view changed)
 	}
 	prep.Cert = cert
@@ -284,7 +261,7 @@ func (p *pillar) sendPrepare(ev evPropose) {
 	p.ownMsg[ev.order] = prep
 	p.met.prepares.Inc()
 	bd := prep.BatchDigest()
-	p.e.traceD(telemetry.EvPropose, uint64(ev.view), uint64(ev.order), p.idx, bd[:], "")
+	p.e.sh.TraceD(telemetry.EvPropose, uint64(ev.view), uint64(ev.order), p.idx, bd[:], "")
 	transport.Multicast(p.e.ep, p.e.cfg.N, prep)
 	p.maybeDeliver(s)
 }
@@ -306,7 +283,7 @@ func (p *pillar) sendCommit(m *message.Prepare) {
 	p.win.Refresh(s)
 	p.ownMsg[m.Order] = com
 	p.met.commits.Inc()
-	p.e.traceD(telemetry.EvCommit, uint64(m.View), uint64(m.Order), p.idx, com.BatchDigest[:], "")
+	p.e.sh.TraceD(telemetry.EvCommit, uint64(m.View), uint64(m.Order), p.idx, com.BatchDigest[:], "")
 	transport.Multicast(p.e.ep, p.e.cfg.N, com)
 	p.maybeDeliver(s)
 }
@@ -319,27 +296,27 @@ func (p *pillar) maybeDeliver(s *slot) {
 	}
 	s.Executed = true
 	p.met.committed.Inc()
-	p.e.traceD(telemetry.EvDeliver, uint64(s.Prepare.View), uint64(s.Order), p.idx, s.BatchDigest[:], "")
+	p.e.sh.TraceD(telemetry.EvDeliver, uint64(s.Prepare.View), uint64(s.Order), p.idx, s.BatchDigest[:], "")
 	p.e.logDecision(s.Prepare.View, s.Order, s.Prepare.Requests)
 	credit := int32(-1)
 	if s.Prepare.Cert.Issuer.Replica() == p.e.id {
 		credit = int32(p.idx)
 	}
-	p.e.exec.inbox.Put(evExec{order: s.Order, batch: s.Prepare.Requests, credit: credit})
+	p.e.exec.Deliver(s.Order, s.Prepare.Requests, credit)
 }
 
 // handleCkptDue runs this pillar's checkpoint protocol instance
 // (§5.3.2): announce the digest with a trusted MAC certificate.
-func (p *pillar) handleCkptDue(ev evCkptDue) {
-	ck := &message.Checkpoint{Order: ev.order, Replica: p.e.id, StateDigest: ev.digest}
+func (p *pillar) handleCkptDue(ev cop.CkptDue) {
+	ck := &message.Checkpoint{Order: ev.Order, Replica: p.e.id, StateDigest: ev.Digest}
 	cert, err := p.tx.CreateTrustedMAC(counterM, ck.Digest())
 	if err != nil {
 		return
 	}
 	ck.Cert = cert
-	p.ownCkpt[ev.order] = ck
-	p.e.met.ckptsOwn.Inc()
-	p.e.traceD(telemetry.EvCheckpoint, uint64(p.view), uint64(ev.order), p.idx, ev.digest[:], "")
+	p.ownCkpt[ev.Order] = ck
+	p.e.sh.Met.CkptsOwn.Inc()
+	p.e.sh.TraceD(telemetry.EvCheckpoint, uint64(p.view), uint64(ev.Order), p.idx, ev.Digest[:], "")
 	transport.Multicast(p.e.ep, p.e.cfg.N, ck)
 	p.addCheckpoint(ck)
 }
@@ -360,7 +337,7 @@ func (p *pillar) addCheckpoint(m *message.Checkpoint) {
 		Replica: m.Replica, Digest: m.StateDigest, Msg: m,
 	})
 	if stable != nil {
-		p.e.coord.inbox.Put(evStable{stable: stable})
+		p.e.coord.inbox.Put(stable)
 	}
 }
 
@@ -380,7 +357,7 @@ func (p *pillar) advance(o timeline.Order) {
 	}
 	for k, ev := range p.pendingProps {
 		if k <= o {
-			p.e.seq.credit(p.idx, len(ev.batch))
+			p.e.seq.Credit(p.idx, len(ev.batch))
 			delete(p.pendingProps, k)
 		}
 	}
@@ -487,7 +464,7 @@ func (p *pillar) handleTick() {
 		}
 		if m, ok := p.ownMsg[o]; ok {
 			p.met.retransmits.Inc()
-			p.e.trace(telemetry.EvRetransmit, uint64(p.view), uint64(o), p.idx, "")
+			p.e.sh.Trace(telemetry.EvRetransmit, uint64(p.view), uint64(o), p.idx, "")
 			transport.Multicast(p.e.ep, p.e.cfg.N, m)
 		}
 		break // one per tick is enough

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"path/filepath"
 
+	"hybster/internal/cop"
 	"hybster/internal/crypto"
 	"hybster/internal/message"
 	"hybster/internal/telemetry"
@@ -77,14 +78,13 @@ func (e *Engine) newCertifier(opts Options, pillar uint32, key crypto.Key) (Cert
 // state-transfer path.
 func (e *Engine) restore() {
 	rec := e.dur.recovered
-	e.trace(telemetry.EvRecovery, 0, uint64(e.exec.last.Load()),
+	e.sh.Trace(telemetry.EvRecovery, 0, uint64(e.exec.LastExecuted()),
 		0, fmt.Sprintf("wal replay: %d decisions", len(rec.Decisions)))
 	if ck := rec.Checkpoint; ck != nil {
-		e.coord.lastStable = stableCkpt{
-			order: ck.Order, digest: ck.Digest, proof: ck.Proof,
-			snapshot: ck.Snapshot, rv: ck.ReplyVector,
-		}
-		e.stableOrd.Store(uint64(ck.Order))
+		e.coord.ck.Adopt(cop.Stable[*message.Checkpoint]{
+			Order: ck.Order, Digest: ck.Digest, Proof: ck.Proof,
+			Snapshot: ck.Snapshot, ReplyVector: ck.ReplyVector,
+		})
 		for _, p := range e.pillars {
 			p.advance(ck.Order)
 		}
@@ -93,30 +93,17 @@ func (e *Engine) restore() {
 	// (Base), which may trail Checkpoint when stability outran local
 	// execution before the crash; the decision tail bridges the rest.
 	if base := rec.Base; base != nil {
-		if err := e.exec.x.InstallState(base.Order, base.Snapshot, base.ReplyVector); err == nil {
-			e.exec.last.Store(uint64(base.Order))
-		}
+		// A snapshot that fails to restore leaves execution at its
+		// start; state transfer brings the replica up to date.
+		_ = e.exec.Restore(base.Order, base.Snapshot, base.ReplyVector)
 	}
-	// Replay the decision tail. Buffer tolerates gaps (a hole the sync
-	// batch lost); execution stops at the first gap and the executor
-	// keeps the rest pending until ordering or state transfer fills it.
+	// Replay the decision tail (a hole the sync batch lost stops
+	// execution there until ordering or state transfer fills it).
 	for i := range rec.Decisions {
-		d := &rec.Decisions[i]
-		if !e.exec.x.Buffer(d.Order, d.Requests) {
-			continue
-		}
-	}
-	for {
-		ex := e.exec.x.Step()
-		if ex == nil {
-			break
-		}
-		// No client replies during replay: the original execution sent
-		// them, and clients retransmit if theirs got lost.
-		e.exec.last.Store(uint64(ex.Order))
+		e.exec.Replay(rec.Decisions[i].Order, rec.Decisions[i].Requests)
 	}
 	for _, p := range e.pillars {
-		if last := timeline.Order(e.exec.last.Load()); last > 0 {
+		if last := e.exec.LastExecuted(); last > 0 {
 			// The pillar cannot re-certify replayed instances (counters
 			// resumed past them); move its cursor beyond the replay so
 			// fresh ordering starts cleanly after it.
@@ -139,13 +126,13 @@ func (e *Engine) logDecision(v timeline.View, o timeline.Order, batch []*message
 
 // logCheckpoint appends a stable checkpoint to the WAL, which also
 // garbage-collects segments the checkpoint subsumes.
-func (e *Engine) logCheckpoint(st stableCkpt) {
+func (e *Engine) logCheckpoint(st *cop.Stable[*message.Checkpoint]) {
 	if e.dur == nil {
 		return
 	}
 	_ = e.dur.log.AppendCheckpoint(&wal.CheckpointRec{
-		Order: st.order, Digest: st.digest,
-		Snapshot: st.snapshot, ReplyVector: st.rv, Proof: st.proof,
+		Order: st.Order, Digest: st.Digest,
+		Snapshot: st.Snapshot, ReplyVector: st.ReplyVector, Proof: st.Proof,
 	})
 }
 

@@ -4,7 +4,7 @@ import (
 	"errors"
 	"sync/atomic"
 
-	"hybster/internal/message"
+	"hybster/internal/cop"
 	"hybster/internal/telemetry"
 )
 
@@ -23,43 +23,40 @@ type gaugeMirror struct {
 	low       atomic.Uint64
 }
 
-// engineMetrics holds the MinBFT replica's metric handles, resolved
-// once in New. All handles are nil-safe; the zero value means
-// telemetry is off. MinBFT has no pillars (the protocol is
-// sequential), so nothing carries a pillar label.
-type engineMetrics struct {
+// loopMetrics holds the protocol loop's metric handles, resolved once
+// in New (the execution stage registers its own). All handles are
+// nil-safe; the zero value means telemetry is off. MinBFT has no
+// pillars (the protocol is sequential), so nothing carries a pillar
+// label.
+type loopMetrics struct {
 	tel *telemetry.Telemetry
 
-	prepares     *telemetry.Counter
-	commits      *telemetry.Counter
-	committed    *telemetry.Counter
-	execBatches  *telemetry.Counter
-	execRequests *telemetry.Counter
-	ckptsOwn     *telemetry.Counter
-	ckptsStable  *telemetry.Counter
-	suspectsC    *telemetry.Counter
-	retransmits  *telemetry.Counter
-	zombiesC     *telemetry.Counter
-	stateXfers   *telemetry.Counter
+	prepares    *telemetry.Counter
+	commits     *telemetry.Counter
+	committed   *telemetry.Counter
+	ckptsOwn    *telemetry.Counter
+	ckptsStable *telemetry.Counter
+	suspectsC   *telemetry.Counter
+	retransmits *telemetry.Counter
+	zombiesC    *telemetry.Counter
+	stateXfers  *telemetry.Counter
 }
 
-func newEngineMetrics(tel *telemetry.Telemetry) engineMetrics {
+func newLoopMetrics(tel *telemetry.Telemetry) loopMetrics {
 	if tel == nil {
-		return engineMetrics{}
+		return loopMetrics{}
 	}
-	return engineMetrics{
-		tel:          tel,
-		prepares:     tel.Counter("hybster_minbft_prepares_total", "own proposals multicast (leader PREPARE sent)"),
-		commits:      tel.Counter("hybster_minbft_commits_sent_total", "leader proposals acknowledged (COMMIT sent)"),
-		committed:    tel.Counter("hybster_minbft_committed_total", "instances committed and handed to execution"),
-		execBatches:  tel.Counter("hybster_minbft_exec_batches_total", "batches delivered to the application"),
-		execRequests: tel.Counter("hybster_minbft_exec_requests_total", "client requests executed"),
-		ckptsOwn:     tel.Counter("hybster_minbft_checkpoints_total", "own checkpoint announcements"),
-		ckptsStable:  tel.Counter("hybster_minbft_checkpoints_stable_total", "checkpoints that reached quorum stability"),
-		suspectsC:    tel.Counter("hybster_minbft_suspects_total", "leader-timeout suspicion events"),
-		retransmits:  tel.Counter("hybster_minbft_retransmits_total", "messages re-multicast from the resend ring"),
-		zombiesC:     tel.Counter("hybster_minbft_zombies_total", "replicas convicted of counter regression"),
-		stateXfers:   tel.Counter("hybster_minbft_state_xfers_total", "checkpoint state transfers adopted"),
+	return loopMetrics{
+		tel:         tel,
+		prepares:    tel.Counter("hybster_minbft_prepares_total", "own proposals multicast (leader PREPARE sent)"),
+		commits:     tel.Counter("hybster_minbft_commits_sent_total", "leader proposals acknowledged (COMMIT sent)"),
+		committed:   tel.Counter("hybster_minbft_committed_total", "instances committed and handed to execution"),
+		ckptsOwn:    tel.Counter("hybster_minbft_checkpoints_total", "own checkpoint announcements"),
+		ckptsStable: tel.Counter("hybster_minbft_checkpoints_stable_total", "checkpoints that reached quorum stability"),
+		suspectsC:   tel.Counter("hybster_minbft_suspects_total", "leader-timeout suspicion events"),
+		retransmits: tel.Counter("hybster_minbft_retransmits_total", "messages re-multicast from the resend ring"),
+		zombiesC:    tel.Counter("hybster_minbft_zombies_total", "replicas convicted of counter regression"),
+		stateXfers:  tel.Counter("hybster_minbft_state_xfers_total", "checkpoint state transfers adopted"),
 	}
 }
 
@@ -70,7 +67,7 @@ func (e *Engine) registerGauges(tel *telemetry.Telemetry) {
 		return
 	}
 	tel.GaugeFunc("hybster_minbft_last_executed", "highest executed order number",
-		func() float64 { return float64(e.exec.last.Load()) })
+		func() float64 { return float64(e.exec.LastExecuted()) })
 	tel.GaugeFunc("hybster_minbft_inbox_depth", "queued protocol events",
 		func() float64 { return float64(e.inbox.Len()) })
 	// Protocol-loop state snapshots, read from the atomic mirror the
@@ -93,12 +90,7 @@ func (e *Engine) registerGauges(tel *telemetry.Telemetry) {
 		func() float64 { return float64(e.deafStreams.Load()) })
 	tel.GaugeFunc("hybster_minbft_holdback_horizon", "counter gap beyond which a stream cannot drain (4x window)",
 		func() float64 { return float64(4 * e.cfg.WindowSize) })
-	// Codec marshal-pool stats; process-global (the encoder pool is
-	// shared by every engine in the process).
-	tel.GaugeFunc("hybster_marshal_total", "messages marshaled (process-wide)",
-		func() float64 { total, _ := message.MarshalStats(); return float64(total) })
-	tel.GaugeFunc("hybster_marshal_pool_hits", "marshals served by a pooled encoder (process-wide)",
-		func() float64 { _, hits := message.MarshalStats(); return float64(hits) })
+	cop.RegisterMarshalGauges(tel)
 }
 
 // publishGauges refreshes the atomic gauge mirror from the run-loop

@@ -36,6 +36,7 @@ import (
 	"hybster/internal/telemetry"
 	"hybster/internal/timeline"
 	"hybster/internal/transport"
+	"hybster/internal/trinx"
 	"hybster/internal/usig"
 	"hybster/internal/verify"
 )
@@ -78,7 +79,7 @@ type Engine struct {
 	sigCkpt *usig.USIG
 
 	inbox   *cop.Mailbox[any]
-	exec    *execLoop
+	exec    *cop.Exec
 	replies *reply.Stage
 	vpool   *verify.Pool
 	vord    *verify.Ordered
@@ -167,8 +168,7 @@ type Engine struct {
 	// histLenSnapshot mirrors len(sentLog) for HistoryLen (tests).
 	histLenSnapshot int
 
-	suspects atomic.Uint64 // leader-timeout events (diagnostics)
-	met      engineMetrics
+	met loopMetrics
 	// gm mirrors loop-owned fields for lock-free gauge sampling; the
 	// run loop refreshes it after every event (see publishGauges).
 	gm gaugeMirror
@@ -203,14 +203,6 @@ type Engine struct {
 	wg       sync.WaitGroup
 }
 
-// inMsg is an inbound message tagged with its sender; verified marks
-// client authenticators already checked by the parallel verify stage.
-type inMsg struct {
-	from     uint32
-	msg      message.Message
-	verified bool
-}
-
 // heldMsg is a held-back out-of-order message plus its verified bit.
 type heldMsg struct {
 	msg      message.Message
@@ -236,7 +228,7 @@ func New(opts Options) (*Engine, error) {
 		ks:        crypto.NewKeyStore(opts.ID, key),
 		sig:       usig.New(opts.Platform, opts.ID, key, opts.EnclaveCost).Instrument(opts.Telemetry),
 		sigCkpt:   usig.New(opts.Platform, opts.ID|ckptIssuerFlag, key, opts.EnclaveCost).Instrument(opts.Telemetry),
-		met:       newEngineMetrics(opts.Telemetry),
+		met:       newLoopMetrics(opts.Telemetry),
 		inbox:     cop.NewMailbox[any](),
 		expected:  make(map[uint32]uint64),
 		holdback:  make(map[uint32]map[uint64]heldMsg),
@@ -256,8 +248,16 @@ func New(opts Options) (*Engine, error) {
 		zombieSet:      make(map[uint32]bool),
 		deaf:           make(map[uint32]bool),
 	}
-	e.exec = newExecLoop(e, opts.Application)
 	e.replies = reply.NewStage(e.id, e.ks, e.ep, 0, opts.Telemetry)
+	e.exec = cop.NewExec(cop.ExecConfig{
+		Config: opts.Config, Application: opts.Application, Replies: e.replies,
+		Telemetry: opts.Telemetry, Prefix: "hybster_minbft_",
+		// Checkpoints and the watchdog run on the protocol loop (USIG
+		// and window state stay single-threaded there), so both hooks
+		// post to its inbox; the snapshot encode is paid there too.
+		OnCheckpoint: func(v *statemachine.CheckpointView) { e.inbox.Put(evCkptDue{view: v}) },
+		OnProgress:   func(pending bool) { e.inbox.Put(evProgress{pending: pending}) },
+	})
 	e.vpool = verify.NewPool(e.ks, 0, opts.Telemetry)
 	e.vord = verify.NewOrdered(e.vpool)
 	for r := uint32(0); int(r) < opts.Config.N; r++ {
@@ -272,10 +272,13 @@ func New(opts Options) (*Engine, error) {
 func (e *Engine) ID() uint32 { return e.id }
 
 // LastExecuted returns the highest executed order number.
-func (e *Engine) LastExecuted() timeline.Order { return e.exec.lastExecuted() }
+func (e *Engine) LastExecuted() timeline.Order { return e.exec.LastExecuted() }
 
-// Suspects returns how often the leader was suspected (diagnostics).
-func (e *Engine) Suspects() uint64 { return e.suspects.Load() }
+// trinxIssuer adapts a USIG issuer ID to the instance-ID field of the
+// shared Checkpoint message type.
+func trinxIssuer(id uint32) trinx.InstanceID {
+	return trinx.InstanceID(uint64(id) << 16)
+}
 
 // ErrCounterRegression reports that a peer presented a valid UI whose
 // counter value was already consumed by a different message — proof it
@@ -319,12 +322,12 @@ func (e *Engine) Start() {
 		case *message.Request:
 			e.vord.Submit(from, []*message.Request{v}, func(ok bool) {
 				if ok {
-					e.inbox.Put(inMsg{from: from, msg: m, verified: true})
+					e.inbox.Put(cop.InMsg{From: from, Msg: m, Verified: true})
 				}
 			})
 		case *message.MinPrepare:
 			if len(v.Requests) == 0 {
-				e.vord.Pass(from, func() { e.inbox.Put(inMsg{from: from, msg: m}) })
+				e.vord.Pass(from, func() { e.inbox.Put(cop.InMsg{From: from, Msg: m}) })
 				return
 			}
 			e.vord.Submit(from, v.Requests, func(ok bool) {
@@ -336,10 +339,10 @@ func (e *Engine) Start() {
 				// re-check in handlePrepare rejects the batch after
 				// the counter bookkeeping, exactly like the inline
 				// path this stage replaces.
-				e.inbox.Put(inMsg{from: from, msg: m, verified: ok})
+				e.inbox.Put(cop.InMsg{From: from, Msg: m, Verified: ok})
 			})
 		default:
-			e.vord.Pass(from, func() { e.inbox.Put(inMsg{from: from, msg: m}) })
+			e.vord.Pass(from, func() { e.inbox.Put(cop.InMsg{From: from, Msg: m}) })
 		}
 	})
 	e.stopTick = make(chan struct{})
@@ -357,7 +360,7 @@ func (e *Engine) Start() {
 	}()
 	e.wg.Add(2)
 	go func() { defer e.wg.Done(); e.run() }()
-	go func() { defer e.wg.Done(); e.exec.run() }()
+	go func() { defer e.wg.Done(); e.exec.Run() }()
 }
 
 // Stop shuts the replica down.
@@ -369,7 +372,7 @@ func (e *Engine) Stop() {
 		_ = e.ep.Close()
 		e.vpool.Close()
 		e.inbox.Close()
-		e.exec.inbox.Close()
+		e.exec.Close()
 		e.wg.Wait()
 		// The exec loop is done submitting; drain outstanding replies.
 		e.replies.Close()
@@ -382,43 +385,30 @@ func (e *Engine) leader() uint32 { return e.cfg.LeaderOf(e.view) }
 
 // run is the single protocol loop: MinBFT's defining constraint is
 // that it cannot be split further.
-func (e *Engine) run() {
-	// Drain the mailbox in batches: under load one lock round-trip
-	// fetches a burst of events instead of paying the lock per event.
-	batch := make([]any, 0, 32)
-	for {
-		events, ok := e.inbox.GetBatch(batch[:0])
-		if !ok {
-			return
-		}
-		for _, ev := range events {
-			e.handleEvent(ev)
-		}
-	}
-}
+func (e *Engine) run() { e.inbox.Drain(e.handleEvent) }
 
 func (e *Engine) handleEvent(ev any) {
 	switch in := ev.(type) {
-	case inMsg:
-		switch m := in.msg.(type) {
+	case cop.InMsg:
+		switch m := in.Msg.(type) {
 		case *message.Request:
-			e.handleRequest(m, in.verified)
+			e.handleRequest(m, in.Verified)
 		case *message.MinPrepare:
-			e.ingest(in.from, m.UI, m, in.verified)
+			e.ingest(in.From, m.UI, m, in.Verified)
 		case *message.MinCommit:
-			e.ingest(in.from, m.UI, m, false)
+			e.ingest(in.From, m.UI, m, false)
 		case *message.MinViewChange:
-			e.ingest(in.from, m.UI, m, false)
+			e.ingest(in.From, m.UI, m, false)
 		case *message.MinNewView:
-			e.ingest(in.from, m.UI, m, false)
+			e.ingest(in.From, m.UI, m, false)
 		case *message.MinReqViewChange:
-			e.handleReqViewChange(in.from, m)
+			e.handleReqViewChange(in.From, m)
 		case *message.Checkpoint:
-			e.handleCheckpoint(in.from, m)
+			e.handleCheckpoint(in.From, m)
 		case *message.StateRequest:
-			e.handleStateRequest(in.from, m)
+			e.handleStateRequest(in.From, m)
 		case *message.StateReply:
-			e.handleStateReply(in.from, m)
+			e.handleStateReply(in.From, m)
 		}
 	case evCkptDue:
 		e.checkpointDue(in)
@@ -850,7 +840,7 @@ func (e *Engine) refresh(s *slot) {
 			e.pendingSince = time.Now()
 		}
 		e.vcBackoff = 0
-		e.exec.inbox.Put(evExec{order: s.order, batch: s.batch})
+		e.exec.Deliver(s.order, s.batch, -1)
 		if e.leader() == e.id {
 			e.mu.Lock()
 			if e.inFlight > 0 {
@@ -930,7 +920,7 @@ func (e *Engine) addCheckpoint(from uint32, ck *message.Checkpoint) {
 		if e.ownCkpt.order == stable.Order {
 			e.stableCkpt = e.ownCkpt
 		}
-		if e.exec.lastExecuted() < stable.Order {
+		if e.exec.LastExecuted() < stable.Order {
 			// The slots this stable checkpoint covers are pruned above,
 			// so any delivery hole below it just became permanent —
 			// execution can only resume from transferred state.
@@ -955,7 +945,7 @@ func (e *Engine) maybeRequestState() {
 		return
 	}
 	e.lastStateReq = now
-	req := &message.StateRequest{Replica: e.id, From: e.exec.lastExecuted() + 1}
+	req := &message.StateRequest{Replica: e.id, From: e.exec.LastExecuted() + 1}
 	transport.Multicast(e.ep, e.cfg.N, req)
 }
 
@@ -986,23 +976,14 @@ func (e *Engine) handleStateReply(from uint32, rep *message.StateReply) {
 	if rep.Replica != from || e.zombies[from] {
 		return
 	}
-	if rep.CkptOrder <= e.exec.lastExecuted() {
+	if rep.CkptOrder <= e.exec.LastExecuted() {
 		return
 	}
-	digest := crypto.Combine(crypto.Hash(rep.Snapshot), crypto.Hash(rep.ReplyVector))
+	digest := statemachine.StateDigest(rep.Snapshot, rep.ReplyVector)
 	if err := e.verifyCkptProof(rep.CkptOrder, digest, rep.Proof); err != nil {
 		return
 	}
-	done := make(chan error, 1)
-	e.exec.inbox.Put(evExec{install: &installReq{
-		ckpt: rep.CkptOrder, snapshot: rep.Snapshot, rv: rep.ReplyVector, done: done,
-	}})
-	select {
-	case err := <-done:
-		if err != nil {
-			return
-		}
-	case <-e.stopTick:
+	if e.exec.Install(rep.CkptOrder, rep.Snapshot, rep.ReplyVector, e.stopTick) != nil {
 		return
 	}
 	e.met.stateXfers.Inc()

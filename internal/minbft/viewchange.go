@@ -155,7 +155,7 @@ func (e *Engine) handleTick() {
 	// Execution fell behind the stable low-watermark: the batches it
 	// is missing are garbage-collected and will never be re-delivered,
 	// so keep asking for transferred state (replies can be lost).
-	if e.exec.lastExecuted() < e.low {
+	if e.exec.LastExecuted() < e.low {
 		e.maybeRequestState()
 	}
 	// Progress stalled for half a suspicion period: assume messages
@@ -172,7 +172,6 @@ func (e *Engine) handleTick() {
 	}
 	if !e.pending {
 		if !ps.IsZero() && now.Sub(ps) > e.suspicionTimeout() {
-			e.suspects.Add(1)
 			e.met.suspectsC.Inc()
 			e.trace(telemetry.EvViewChange, uint64(e.view+1), 0, "suspect")
 			e.vcBackoff++

@@ -3,38 +3,14 @@ package pbft
 import (
 	"time"
 
-	"hybster/internal/checkpoint"
 	"hybster/internal/cop"
 	"hybster/internal/crypto"
 	"hybster/internal/message"
-	"hybster/internal/statemachine"
 	"hybster/internal/telemetry"
 	"hybster/internal/timeline"
 	"hybster/internal/transport"
 	"hybster/internal/trinx"
 )
-
-// Events delivered to the coordinator mailbox.
-type (
-	evCkptCandidate struct {
-		order    timeline.Order
-		digest   crypto.Digest
-		snapshot []byte
-		rv       []byte
-	}
-	evStable struct {
-		stable *checkpoint.Stable[*message.PBFTCheckpoint]
-	}
-	evBehind struct{}
-)
-
-type stableCkpt struct {
-	order    timeline.Order
-	digest   crypto.Digest
-	proof    []*message.PBFTCheckpoint
-	snapshot []byte
-	rv       []byte
-}
 
 // coordinator runs PBFT's checkpoint bookkeeping, the PBFT view-change
 // protocol (VIEW-CHANGE carrying prepared certificates, NEW-VIEW with
@@ -49,64 +25,48 @@ type coordinator struct {
 	pendingTo    timeline.View
 	pendingSince time.Time
 
-	lastStable stableCkpt
-	candidates map[timeline.Order]evCkptCandidate
+	// ck runs checkpoint stability and state transfer.
+	ck *cop.Keeper[*message.PBFTCheckpoint]
 
-	vcs          map[timeline.View]map[uint32]*message.PBFTViewChange
-	ownVC        map[timeline.View]*message.PBFTViewChange
-	nvDone       map[timeline.View]bool
-	lastNV       *message.PBFTNewView
-	lastStateReq time.Time
+	vcs    map[timeline.View]map[uint32]*message.PBFTViewChange
+	ownVC  map[timeline.View]*message.PBFTViewChange
+	nvDone map[timeline.View]bool
+	lastNV *message.PBFTNewView
 }
 
 func newCoordinator(e *Engine, tx *trinx.TrInX) *coordinator {
 	return &coordinator{
-		e:          e,
-		tx:         tx,
-		inbox:      cop.NewMailbox[any](),
-		candidates: make(map[timeline.Order]evCkptCandidate),
-		vcs:        make(map[timeline.View]map[uint32]*message.PBFTViewChange),
-		ownVC:      make(map[timeline.View]*message.PBFTViewChange),
-		nvDone:     make(map[timeline.View]bool),
+		e:      e,
+		tx:     tx,
+		inbox:  cop.NewMailbox[any](),
+		vcs:    make(map[timeline.View]map[uint32]*message.PBFTViewChange),
+		ownVC:  make(map[timeline.View]*message.PBFTViewChange),
+		nvDone: make(map[timeline.View]bool),
+		ck: cop.NewKeeper(e.sh, e.exec, e.inboxes(), cop.KeeperHooks[*message.PBFTCheckpoint]{
+			// StateReply carries Hybster checkpoints, so PBFT replies go
+			// without a proof and a requester accepts only state matching
+			// a checkpoint it already knows to be stable: its own, or the
+			// one a quorum of view changes claimed.
+			Accept: func(rep *message.StateReply, digest crypto.Digest, last *cop.Stable[*message.PBFTCheckpoint]) ([]*message.PBFTCheckpoint, bool) {
+				return last.Proof, rep.CkptOrder == last.Order && digest == last.Digest
+			},
+			WireProof: func([]*message.PBFTCheckpoint) []*message.Checkpoint { return nil },
+		}),
 	}
 }
 
 func (c *coordinator) run() {
-	stopTick := make(chan struct{})
-	go func() {
-		t := time.NewTicker(c.e.cfg.ViewChangeTimeout / 4)
-		defer t.Stop()
-		for {
-			select {
-			case <-t.C:
-				c.inbox.Put(evTick{})
-			case <-stopTick:
-				return
-			}
-		}
-	}()
-	defer close(stopTick)
-
-	for {
-		ev, ok := c.inbox.Get()
-		if !ok {
+	cop.Serve(c.inbox, c.e.cfg.ViewChangeTimeout/4, func(ev any) {
+		if c.ck.Handle(ev) {
 			return
 		}
 		switch v := ev.(type) {
-		case inMsg:
-			c.handleMessage(v.from, v.msg)
-		case *statemachine.CheckpointView:
-			c.handleCandidateView(v)
-		case evCkptCandidate:
-			c.handleCandidate(v)
-		case evStable:
-			c.handleStable(v.stable)
-		case evBehind:
-			c.maybeRequestState()
-		case evTick:
+		case cop.InMsg:
+			c.handleMessage(v.From, v.Msg)
+		case cop.Tick:
 			c.handleTick()
 		}
-	}
+	})
 }
 
 func (c *coordinator) handleMessage(from uint32, m message.Message) {
@@ -115,152 +75,23 @@ func (c *coordinator) handleMessage(from uint32, m message.Message) {
 		c.handleViewChange(from, v)
 	case *message.PBFTNewView:
 		c.handleNewView(from, v)
-	case *message.StateRequest:
-		c.handleStateRequest(from, v)
-	case *message.StateReply:
-		c.handleStateReply(v)
 	}
-}
-
-// --- checkpoints ---
-
-// handleCandidateView materializes a checkpoint boundary posted by the
-// execution stage — snapshot encode and digest hashes run here, off
-// the delivery path.
-func (c *coordinator) handleCandidateView(v *statemachine.CheckpointView) {
-	if v.Order <= c.lastStable.order {
-		return
-	}
-	c.handleCandidate(evCkptCandidate{
-		order:    v.Order,
-		digest:   v.StateDigest(),
-		snapshot: v.Snapshot(),
-		rv:       v.ReplyVector(),
-	})
-}
-
-func (c *coordinator) handleCandidate(ev evCkptCandidate) {
-	if ev.order <= c.lastStable.order {
-		return
-	}
-	c.candidates[ev.order] = ev
-	for o := range c.candidates {
-		if o+2*c.e.cfg.CheckpointInterval <= ev.order {
-			delete(c.candidates, o)
-		}
-	}
-	owner := c.e.cfg.CheckpointPillar(ev.order) % uint32(len(c.e.pillars))
-	c.e.pillars[owner].inbox.Put(evCkptDue{order: ev.order, digest: ev.digest})
-}
-
-func (c *coordinator) handleStable(s *checkpoint.Stable[*message.PBFTCheckpoint]) {
-	if s.Order <= c.lastStable.order {
-		return
-	}
-	st := stableCkpt{order: s.Order, digest: s.Digest, proof: s.Proof}
-	if cand, ok := c.candidates[s.Order]; ok && cand.digest == s.Digest {
-		st.snapshot, st.rv = cand.snapshot, cand.rv
-	}
-	c.lastStable = st
-	c.e.stableOrd.Store(uint64(s.Order))
-	c.e.met.ckptsStable.Inc()
-	c.e.traceD(telemetry.EvCkptStable, uint64(c.curView), uint64(s.Order), 0, s.Digest[:], "")
-	for o := range c.candidates {
-		if o <= s.Order {
-			delete(c.candidates, o)
-		}
-	}
-	for _, p := range c.e.pillars {
-		p.inbox.Put(evAdvance{order: s.Order})
-	}
-	if st.snapshot == nil && s.Order > c.e.exec.lastExecuted() {
-		c.maybeRequestState()
-	}
-}
-
-// --- state transfer ---
-
-func (c *coordinator) maybeRequestState() {
-	now := c.e.now()
-	if now.Sub(c.lastStateReq) < time.Second {
-		return
-	}
-	c.lastStateReq = now
-	req := &message.StateRequest{Replica: c.e.id, From: c.e.exec.lastExecuted() + 1}
-	transport.Multicast(c.e.ep, c.e.cfg.N, req)
-}
-
-func (c *coordinator) handleStateRequest(from uint32, req *message.StateRequest) {
-	if c.lastStable.snapshot == nil || c.lastStable.order < req.From {
-		return
-	}
-	_ = c.e.ep.Send(from, &message.StateReply{
-		Replica:     c.e.id,
-		CkptOrder:   c.lastStable.order,
-		Snapshot:    c.lastStable.snapshot,
-		ReplyVector: c.lastStable.rv,
-		// Proof is omitted on the wire for PBFT replies (the message
-		// type carries Hybster checkpoints); the digest is re-verified
-		// against the stable checkpoint below.
-	})
-}
-
-func (c *coordinator) handleStateReply(rep *message.StateReply) {
-	if rep.CkptOrder <= c.e.exec.lastExecuted() {
-		return
-	}
-	// Accept only state matching a digest we know to be stable: either
-	// our own stable checkpoint or — during a view change — the
-	// checkpoint claimed by a quorum of view-change messages.
-	digest := combineStateDigest(rep.Snapshot, rep.ReplyVector)
-	if rep.CkptOrder != c.lastStable.order || digest != c.lastStable.digest {
-		return
-	}
-	done := make(chan error, 1)
-	c.e.exec.inbox.Put(evInstallState{ckpt: rep.CkptOrder, snapshot: rep.Snapshot, rv: rep.ReplyVector, done: done})
-	select {
-	case err := <-done:
-		if err != nil {
-			return
-		}
-	case <-c.e.stopped:
-		return
-	}
-	if c.lastStable.snapshot == nil {
-		c.lastStable.snapshot, c.lastStable.rv = rep.Snapshot, rep.ReplyVector
-	}
-	for _, p := range c.e.pillars {
-		p.inbox.Put(evAdvance{order: rep.CkptOrder})
-	}
-	c.e.met.stateXfers.Inc()
-	c.e.trace(telemetry.EvStateXfer, uint64(c.curView), uint64(rep.CkptOrder), 0, "")
-	c.e.noteProgress(false)
 }
 
 // --- view change ---
 
 func (c *coordinator) handleTick() {
 	for _, p := range c.e.pillars {
-		p.inbox.Put(evTick{})
+		p.inbox.Put(cop.Tick{})
 	}
 	now := c.e.now()
-	ps := c.e.pendingSince.Load()
-	if c.lastStable.order > c.e.exec.lastExecuted() {
-		// A stable checkpoint lies beyond what local execution can
-		// reach — state transfer is the only way forward, and the
-		// one-shot request issued when the checkpoint was adopted can
-		// be lost on a faulty link. Keep retrying (rate-limited inside
-		// maybeRequestState); without this a lagging replica wedges
-		// forever, and if the laggards hold the quorum margin, the
-		// whole cluster stops committing.
-		c.maybeRequestState()
-	}
+	c.ck.Tick()
 
 	if !c.pending {
-		if ps != 0 && now.Sub(time.Unix(0, ps)) > c.e.cfg.ViewChangeTimeout {
+		if stalled := c.e.sh.Stalled(); stalled > c.e.cfg.ViewChangeTimeout {
 			c.startViewChange(c.curView + 1)
-		} else if ps != 0 && now.Sub(time.Unix(0, ps)) > c.e.cfg.ViewChangeTimeout/8 {
-			c.e.seq.proposeNoop(c.curView, c.e.exec.nextNeeded())
+		} else if stalled > c.e.cfg.ViewChangeTimeout/8 {
+			c.e.seq.ProposeNoop(c.curView, c.e.exec.NextNeeded())
 		}
 	} else {
 		if now.Sub(c.pendingSince) > c.e.cfg.ViewChangeTimeout {
@@ -286,15 +117,15 @@ func (c *coordinator) startViewChange(to timeline.View) {
 		select {
 		case proofs := <-reply:
 			prepared = append(prepared, proofs...)
-		case <-c.e.stopped:
+		case <-c.e.sh.Stopped():
 			return
 		}
 	}
 	vc := &message.PBFTViewChange{
 		Replica:   c.e.id,
 		View:      to,
-		CkptOrder: c.lastStable.order,
-		CkptProof: c.lastStable.proof,
+		CkptOrder: c.ck.Last().Order,
+		CkptProof: c.ck.Last().Proof,
 		Prepared:  prepared,
 	}
 	proof, err := c.e.sign(c.tx, vc.Digest())
@@ -305,8 +136,8 @@ func (c *coordinator) startViewChange(to timeline.View) {
 	c.pending = true
 	c.pendingTo = to
 	c.pendingSince = c.e.now()
-	c.e.met.viewChanges.Inc()
-	c.e.trace(telemetry.EvViewChange, uint64(to), 0, 0, "")
+	c.e.sh.Met.ViewChanges.Inc()
+	c.e.sh.Trace(telemetry.EvViewChange, uint64(to), 0, 0, "")
 	c.ownVC = map[timeline.View]*message.PBFTViewChange{to: vc}
 	c.storeVC(vc)
 	transport.Multicast(c.e.ep, c.e.cfg.N, vc)
@@ -454,8 +285,8 @@ func (c *coordinator) maybeEmitNewView(w timeline.View) {
 		return
 	}
 	startCkpt, templates := computeTransfer(vcSet)
-	if startCkpt > c.lastStable.order {
-		c.maybeRequestState()
+	if startCkpt > c.ck.Last().Order {
+		c.ck.MaybeRequestState()
 		return
 	}
 	newPPs := make([]*message.PrePrepare, 0, len(templates))
@@ -521,26 +352,25 @@ func (c *coordinator) handleNewView(from uint32, nv *message.PBFTNewView) {
 
 func (c *coordinator) install(w timeline.View, startCkpt timeline.Order, pps []*message.PrePrepare, leader bool) {
 	c.curView = w
-	c.e.curView.Store(uint64(w))
-	c.e.trace(telemetry.EvNewView, uint64(w), uint64(startCkpt), 0, "")
+	c.e.sh.SetView(w)
+	c.e.sh.Trace(telemetry.EvNewView, uint64(w), uint64(startCkpt), 0, "")
 	c.pending = false
 	c.pendingTo = 0
 
-	if startCkpt > c.lastStable.order {
+	if startCkpt > c.ck.Last().Order {
 		// Adopt the quorum's checkpoint claim; the state itself comes
 		// through state transfer.
 		for _, vcSet := range c.vcs {
 			for _, vc := range vcSet {
 				if vc.CkptOrder == startCkpt && len(vc.CkptProof) > 0 {
-					c.lastStable = stableCkpt{
-						order: startCkpt, digest: vc.CkptProof[0].StateDigest, proof: vc.CkptProof,
-					}
-					c.e.stableOrd.Store(uint64(startCkpt))
+					c.ck.Adopt(cop.Stable[*message.PBFTCheckpoint]{
+						Order: startCkpt, Digest: vc.CkptProof[0].StateDigest, Proof: vc.CkptProof,
+					})
 				}
 			}
 		}
-		if startCkpt > c.e.exec.lastExecuted() {
-			c.maybeRequestState()
+		if startCkpt > c.e.exec.LastExecuted() {
+			c.ck.MaybeRequestState()
 		}
 	}
 
@@ -567,6 +397,6 @@ func (c *coordinator) install(w timeline.View, startCkpt timeline.Order, pps []*
 			delete(c.nvDone, v)
 		}
 	}
-	c.e.seq.resetForView(w, maxOrder)
-	c.e.noteProgress(false)
+	c.e.seq.ResetForView(w, maxOrder)
+	c.e.sh.NoteProgress(false)
 }

@@ -1,41 +1,10 @@
 package pbft
 
 import (
-	"errors"
 	"fmt"
 
-	"hybster/internal/message"
 	"hybster/internal/telemetry"
 )
-
-// engineMetrics holds the PBFT engine's metric handles, resolved once
-// in New. All handles are nil-safe, so protocol code records
-// unconditionally; the zero value means telemetry is off.
-type engineMetrics struct {
-	tel *telemetry.Telemetry
-
-	execBatches  *telemetry.Counter
-	execRequests *telemetry.Counter
-	viewChanges  *telemetry.Counter
-	ckptsOwn     *telemetry.Counter
-	ckptsStable  *telemetry.Counter
-	stateXfers   *telemetry.Counter
-}
-
-func newEngineMetrics(tel *telemetry.Telemetry) engineMetrics {
-	if tel == nil {
-		return engineMetrics{}
-	}
-	return engineMetrics{
-		tel:          tel,
-		execBatches:  tel.Counter("hybster_pbft_exec_batches_total", "batches delivered to the application"),
-		execRequests: tel.Counter("hybster_pbft_exec_requests_total", "client requests executed"),
-		viewChanges:  tel.Counter("hybster_pbft_view_changes_total", "view changes this replica initiated or joined"),
-		ckptsOwn:     tel.Counter("hybster_pbft_checkpoints_total", "own checkpoint announcements"),
-		ckptsStable:  tel.Counter("hybster_pbft_checkpoints_stable_total", "checkpoints that reached quorum stability"),
-		stateXfers:   tel.Counter("hybster_pbft_state_transfers_total", "state snapshots installed via transfer"),
-	}
-}
 
 // pillarMetrics holds one pillar's metric handles (pillar-labeled).
 type pillarMetrics struct {
@@ -57,72 +26,5 @@ func newPillarMetrics(tel *telemetry.Telemetry, idx uint32) pillarMetrics {
 		commits:     tel.Counter("hybster_pbft_commits_sent_total", "prepared instances acknowledged (COMMIT sent)", pl),
 		committed:   tel.Counter("hybster_pbft_committed_total", "instances committed and handed to execution", pl),
 		retransmits: tel.Counter("hybster_pbft_retransmits_total", "stalled instances re-multicast by the tick handler", pl),
-	}
-}
-
-// registerGauges installs the sampled gauges over live engine state;
-// re-registration on restart swaps the callbacks so the scrape never
-// reads a dead engine.
-func (e *Engine) registerGauges(tel *telemetry.Telemetry) {
-	if tel == nil {
-		return
-	}
-	tel.GaugeFunc("hybster_pbft_view", "current stable view",
-		func() float64 { return float64(e.curView.Load()) })
-	tel.GaugeFunc("hybster_pbft_last_executed", "highest executed order number",
-		func() float64 { return float64(e.exec.last.Load()) })
-	tel.GaugeFunc("hybster_pbft_stable_checkpoint", "last stable checkpoint order",
-		func() float64 { return float64(e.stableOrd.Load()) })
-	for _, p := range e.pillars {
-		p := p
-		tel.GaugeFunc("hybster_pbft_pillar_mailbox_depth", "queued pillar events",
-			func() float64 { return float64(p.inbox.Len()) },
-			telemetry.L("pillar", fmt.Sprint(p.idx)))
-	}
-	for u := range e.seq.inFlight {
-		u := u
-		tel.GaugeFunc("hybster_pbft_seq_inflight", "proposals awaiting commit credit",
-			func() float64 { return float64(e.seq.inFlight[u].Load()) },
-			telemetry.L("pillar", fmt.Sprint(u)))
-	}
-	tel.GaugeFunc("hybster_pbft_seq_outreqs", "requests dispatched but not yet credited back",
-		func() float64 { return float64(e.seq.outReqs.Load()) })
-	tel.GaugeFunc("hybster_pbft_seq_queue_depth", "admitted requests awaiting a batch cut",
-		func() float64 {
-			e.seq.mu.Lock()
-			n := len(e.seq.queue)
-			e.seq.mu.Unlock()
-			return float64(n)
-		})
-	// Codec marshal-pool stats; process-global (the encoder pool is
-	// shared by every engine in the process).
-	tel.GaugeFunc("hybster_marshal_total", "messages marshaled (process-wide)",
-		func() float64 { total, _ := message.MarshalStats(); return float64(total) })
-	tel.GaugeFunc("hybster_marshal_pool_hits", "marshals served by a pooled encoder (process-wide)",
-		func() float64 { _, hits := message.MarshalStats(); return float64(hits) })
-}
-
-// trace records one protocol event on the engine's tracer (nil-safe).
-func (e *Engine) trace(kind telemetry.EventKind, view, slot uint64, pillar uint32, note string) {
-	e.met.tel.Trace(kind, view, slot, pillar, note)
-}
-
-// traceD records one protocol event carrying the digest the event is
-// about — the cross-replica correlation key the auditor compares
-// (nil-safe).
-func (e *Engine) traceD(kind telemetry.EventKind, view, slot uint64, pillar uint32, digest []byte, note string) {
-	e.met.tel.TraceDigest(kind, view, slot, pillar, digest, note)
-}
-
-// Telemetry returns the engine's telemetry bundle (nil when disabled).
-func (e *Engine) Telemetry() *telemetry.Telemetry { return e.met.tel }
-
-// Healthz reports process liveness for the ops server.
-func (e *Engine) Healthz() error {
-	select {
-	case <-e.stopped:
-		return errors.New("pbft: engine stopped")
-	default:
-		return nil
 	}
 }

@@ -11,18 +11,15 @@ import (
 	"hybster/internal/trinx"
 )
 
-// Events delivered to pillar mailboxes.
+// Events delivered to pillar mailboxes, besides inbound protocol
+// messages (cop.InMsg) and the runtime's cop.CkptDue, cop.Advance and
+// cop.Tick.
 type (
 	evPropose struct {
 		view  timeline.View
 		order timeline.Order
 		batch []*message.Request
 	}
-	evCkptDue struct {
-		order  timeline.Order
-		digest crypto.Digest
-	}
-	evAdvance struct{ order timeline.Order }
 	// evCollectVC gathers the pillar's prepared proofs for a view
 	// change.
 	evCollectVC struct {
@@ -36,7 +33,6 @@ type (
 		prePrepares []*message.PrePrepare
 		leader      bool
 	}
-	evTick struct{}
 )
 
 // pslot tracks one PBFT consensus instance: it reaches "prepared" with
@@ -88,7 +84,7 @@ func newPillar(e *Engine, idx uint32, tx *trinx.TrInX) *pillar {
 		idx:     idx,
 		tx:      tx,
 		inbox:   cop.NewMailbox[any](),
-		met:     newPillarMetrics(e.met.tel, idx),
+		met:     newPillarMetrics(e.sh.Met.Tel, idx),
 		slots:   make(map[timeline.Order]*pslot),
 		ckpts:   checkpoint.NewTracker[*message.PBFTCheckpoint](e.cfg.Quorum()),
 		ownCkpt: make(map[timeline.Order]*message.PBFTCheckpoint),
@@ -122,50 +118,38 @@ func (p *pillar) slot(o timeline.Order, v timeline.View) *pslot {
 	return s
 }
 
-func (p *pillar) run() {
-	// Drain the mailbox in batches: under load one lock round-trip
-	// fetches a burst of events instead of paying the lock per event.
-	batch := make([]any, 0, 32)
-	for {
-		events, ok := p.inbox.GetBatch(batch[:0])
-		if !ok {
-			return
-		}
-		for _, ev := range events {
-			p.handleEvent(ev)
-		}
-	}
-}
+// run is the pillar event loop.
+func (p *pillar) run() { p.inbox.Drain(p.handleEvent) }
 
 func (p *pillar) handleEvent(ev any) {
 	switch v := ev.(type) {
-	case inMsg:
+	case cop.InMsg:
 		p.handleMessage(v)
 	case evPropose:
 		p.handlePropose(v)
-	case evCkptDue:
+	case cop.CkptDue:
 		p.handleCkptDue(v)
-	case evAdvance:
-		p.advance(v.order)
+	case cop.Advance:
+		p.advance(v.Order)
 	case evCollectVC:
 		p.handleCollectVC(v)
 	case evInstallView:
 		p.handleInstallView(v)
-	case evTick:
+	case cop.Tick:
 		p.handleTick()
 	}
 }
 
-func (p *pillar) handleMessage(in inMsg) {
-	switch v := in.msg.(type) {
+func (p *pillar) handleMessage(in cop.InMsg) {
+	switch v := in.Msg.(type) {
 	case *message.PrePrepare:
-		p.handlePrePrepare(in.from, v, in.verified)
+		p.handlePrePrepare(in.From, v, in.Verified)
 	case *message.PBFTPrepare:
-		p.handlePrepare(in.from, v)
+		p.handlePrepare(in.From, v)
 	case *message.PBFTCommit:
-		p.handleCommit(in.from, v)
+		p.handleCommit(in.From, v)
 	case *message.PBFTCheckpoint:
-		p.handleCheckpoint(in.from, v)
+		p.handleCheckpoint(in.From, v)
 	}
 }
 
@@ -173,25 +157,25 @@ func (p *pillar) handleMessage(in inMsg) {
 // PRE-PREPARE.
 func (p *pillar) handlePropose(ev evPropose) {
 	if ev.view != p.view || p.aborted || !p.inWindow(ev.order) {
-		p.e.seq.credit(p.idx, len(ev.batch))
+		p.e.seq.Credit(p.idx, len(ev.batch))
 		return
 	}
 	pp := &message.PrePrepare{View: ev.view, Order: ev.order, Requests: ev.batch}
 	proof, err := p.e.sign(p.tx, pp.Digest())
 	if err != nil {
-		p.e.seq.credit(p.idx, len(ev.batch))
+		p.e.seq.Credit(p.idx, len(ev.batch))
 		return
 	}
 	pp.Proof = proof
 	s := p.slot(ev.order, ev.view)
 	if s == nil || s.prePrepare != nil {
-		p.e.seq.credit(p.idx, len(ev.batch))
+		p.e.seq.Credit(p.idx, len(ev.batch))
 		return
 	}
 	s.prePrepare = pp
 	s.batchDigest = pp.BatchDigest()
 	p.met.preprepares.Inc()
-	p.e.traceD(telemetry.EvPropose, uint64(ev.view), uint64(ev.order), p.idx, s.batchDigest[:], "")
+	p.e.sh.TraceD(telemetry.EvPropose, uint64(ev.view), uint64(ev.order), p.idx, s.batchDigest[:], "")
 	transport.Multicast(p.e.ep, p.e.cfg.N, pp)
 	p.progress(s)
 }
@@ -204,7 +188,7 @@ func (p *pillar) handlePrePrepare(from uint32, pp *message.PrePrepare, authVerif
 		return
 	}
 	if pp.Order > p.high() {
-		p.e.coord.inbox.Put(evBehind{})
+		p.e.coord.inbox.Put(cop.Behind{})
 		return
 	}
 	if from != p.e.cfg.ProposerOf(pp.View, pp.Order) {
@@ -220,7 +204,7 @@ func (p *pillar) handlePrePrepare(from uint32, pp *message.PrePrepare, authVerif
 			}
 		}
 	}
-	p.e.noteWork()
+	p.e.sh.NoteWork()
 	p.acceptPrePrepare(pp)
 }
 
@@ -245,7 +229,7 @@ func (p *pillar) acceptPrePrepare(pp *message.PrePrepare) {
 		prep.Proof = proof
 		s.prepares[p.e.id] = prep
 		p.met.prepares.Inc()
-		p.e.traceD(telemetry.EvPrepare, uint64(pp.View), uint64(pp.Order), p.idx, s.batchDigest[:], "")
+		p.e.sh.TraceD(telemetry.EvPrepare, uint64(pp.View), uint64(pp.Order), p.idx, s.batchDigest[:], "")
 		transport.Multicast(p.e.ep, p.e.cfg.N, prep)
 	}
 	p.progress(s)
@@ -315,7 +299,7 @@ func (p *pillar) progress(s *pslot) {
 			com.Proof = proof
 			s.commits[p.e.id] = true
 			p.met.commits.Inc()
-			p.e.traceD(telemetry.EvCommit, uint64(s.view), uint64(s.order), p.idx, s.batchDigest[:], "")
+			p.e.sh.TraceD(telemetry.EvCommit, uint64(s.view), uint64(s.order), p.idx, s.batchDigest[:], "")
 			transport.Multicast(p.e.ep, p.e.cfg.N, com)
 		}
 	}
@@ -325,27 +309,27 @@ func (p *pillar) progress(s *pslot) {
 	if s.committed && !s.executed {
 		s.executed = true
 		p.met.committed.Inc()
-		p.e.traceD(telemetry.EvDeliver, uint64(s.view), uint64(s.order), p.idx, s.batchDigest[:], "")
+		p.e.sh.TraceD(telemetry.EvDeliver, uint64(s.view), uint64(s.order), p.idx, s.batchDigest[:], "")
 		credit := int32(-1)
 		if p.e.cfg.ProposerOf(s.view, s.order) == p.e.id {
 			credit = int32(p.idx)
 		}
-		p.e.exec.inbox.Put(evExec{order: s.order, batch: s.prePrepare.Requests, credit: credit})
+		p.e.exec.Deliver(s.order, s.prePrepare.Requests, credit)
 	}
 }
 
 // --- checkpoints ---
 
-func (p *pillar) handleCkptDue(ev evCkptDue) {
-	ck := &message.PBFTCheckpoint{Order: ev.order, Replica: p.e.id, StateDigest: ev.digest}
+func (p *pillar) handleCkptDue(ev cop.CkptDue) {
+	ck := &message.PBFTCheckpoint{Order: ev.Order, Replica: p.e.id, StateDigest: ev.Digest}
 	proof, err := p.e.sign(p.tx, ck.Digest())
 	if err != nil {
 		return
 	}
 	ck.Proof = proof
-	p.ownCkpt[ev.order] = ck
-	p.e.met.ckptsOwn.Inc()
-	p.e.traceD(telemetry.EvCheckpoint, uint64(p.view), uint64(ev.order), p.idx, ev.digest[:], "")
+	p.ownCkpt[ev.Order] = ck
+	p.e.sh.Met.CkptsOwn.Inc()
+	p.e.sh.TraceD(telemetry.EvCheckpoint, uint64(p.view), uint64(ev.Order), p.idx, ev.Digest[:], "")
 	transport.Multicast(p.e.ep, p.e.cfg.N, ck)
 	p.addCheckpoint(ck)
 }
@@ -365,7 +349,7 @@ func (p *pillar) addCheckpoint(m *message.PBFTCheckpoint) {
 		Replica: m.Replica, Digest: m.StateDigest, Msg: m,
 	})
 	if stable != nil {
-		p.e.coord.inbox.Put(evStable{stable: stable})
+		p.e.coord.inbox.Put(stable)
 	}
 }
 
@@ -445,11 +429,11 @@ func (p *pillar) handleTick() {
 	if oldest != nil && oldest.prePrepare != nil {
 		if p.e.cfg.ProposerOf(oldest.view, oldest.order) == p.e.id {
 			p.met.retransmits.Inc()
-			p.e.trace(telemetry.EvRetransmit, uint64(oldest.view), uint64(oldest.order), p.idx, "")
+			p.e.sh.Trace(telemetry.EvRetransmit, uint64(oldest.view), uint64(oldest.order), p.idx, "")
 			transport.Multicast(p.e.ep, p.e.cfg.N, oldest.prePrepare)
 		} else if own, ok := oldest.prepares[p.e.id]; ok {
 			p.met.retransmits.Inc()
-			p.e.trace(telemetry.EvRetransmit, uint64(oldest.view), uint64(oldest.order), p.idx, "")
+			p.e.sh.Trace(telemetry.EvRetransmit, uint64(oldest.view), uint64(oldest.order), p.idx, "")
 			transport.Multicast(p.e.ep, p.e.cfg.N, own)
 		}
 	}

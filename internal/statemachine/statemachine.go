@@ -219,24 +219,24 @@ func (v *CheckpointView) Snapshot() []byte {
 // ReplyVector returns the reply cache as of the boundary.
 func (v *CheckpointView) ReplyVector() []byte { return v.rv }
 
-// StateDigest returns the checkpoint digest of the view: H(snapshot)
-// combined with H(reply vector).
+// StateDigest returns the checkpoint digest of the view.
 func (v *CheckpointView) StateDigest() crypto.Digest {
-	return crypto.Combine(crypto.Hash(v.Snapshot()), crypto.Hash(v.rv))
+	return StateDigest(v.Snapshot(), v.rv)
 }
 
-// ReplyVectorDigest folds the reply cache into a digest. It is combined
-// with the application state digest in CHECKPOINT messages so that a
-// fallen-behind replica obtaining the state also obtains provably
-// correct return values for skipped requests (§5.2.2).
-func (e *Executor) ReplyVectorDigest() crypto.Digest {
-	return crypto.Hash(e.marshalReplies())
+// StateDigest is the checkpoint digest of a service state: H(snapshot)
+// combined with H(reply vector). Checkpoint announcements carry it and
+// state transfers are checked against it. Folding in the reply cache
+// means a fallen-behind replica obtaining the state also obtains
+// provably correct return values for skipped requests (§5.2.2).
+func StateDigest(snapshot, replyVector []byte) crypto.Digest {
+	return crypto.Combine(crypto.Hash(snapshot), crypto.Hash(replyVector))
 }
 
 // StateDigest returns the checkpoint digest at the current execution
-// point: H(application snapshot) combined with the reply-vector digest.
+// point.
 func (e *Executor) StateDigest() crypto.Digest {
-	return crypto.Combine(crypto.Hash(e.app.Snapshot()), e.ReplyVectorDigest())
+	return StateDigest(e.app.Snapshot(), e.marshalReplies())
 }
 
 // Snapshot serializes the application state for checkpointing and

@@ -142,12 +142,6 @@ func New(p *enclave.Platform, id InstanceID, numCounters int, key crypto.Key, co
 	return &TrInX{id: id, enc: enc}
 }
 
-// newFromEnclave wires a handle to an existing enclave; used by the
-// Multi-TrInX host and the bridge variant.
-func newFromEnclave(id InstanceID, enc *enclave.Enclave) *TrInX {
-	return &TrInX{id: id, enc: enc}
-}
-
 // WithBridge returns a handle whose calls additionally pay the
 // foreign-function bridge cost (the "TrInX (JNI)" variant of Fig. 5a).
 // State is shared with the receiver.
